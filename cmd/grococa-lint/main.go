@@ -9,17 +9,15 @@
 //	grococa-lint -selftest              # prove each contract analyzer catches
 //	                                    # an injected defect (must exit nonzero)
 //
-// Determinism analyzers (PR 2):
+// Determinism analyzers:
 //
 //	mapiterorder  no order-sensitive work inside range-over-map
 //	rngstream     math/rand only inside internal/sim's named-stream RNG
 //	wallclock     no wall-clock reads in simulation packages
 //	errdrop       no silently discarded error returns
 //
-// Contract analyzers (type-aware, this PR):
+// Contract analyzers (type-aware):
 //
-//	snapshotdrift fields missing from State/Restore checkpoint coverage
-//	keyedsched    unkeyed Kernel.Schedule/At in snapshot-capable packages
 //	epochsync     Connected()-affecting writes without ConnectivityChanged
 //	hotalloc      allocation patterns in //hot:-annotated functions
 //
@@ -50,11 +48,9 @@ import (
 	"repro/internal/lint/epochsync"
 	"repro/internal/lint/errdrop"
 	"repro/internal/lint/hotalloc"
-	"repro/internal/lint/keyedsched"
 	"repro/internal/lint/mapiterorder"
 	"repro/internal/lint/multichecker"
 	"repro/internal/lint/rngstream"
-	"repro/internal/lint/snapshotdrift"
 	"repro/internal/lint/wallclock"
 )
 
@@ -63,10 +59,8 @@ var analyzers = []*analysis.Analyzer{
 	epochsync.Analyzer,
 	errdrop.Analyzer,
 	hotalloc.Analyzer,
-	keyedsched.Analyzer,
 	mapiterorder.Analyzer,
 	rngstream.Analyzer,
-	snapshotdrift.Analyzer,
 	wallclock.Analyzer,
 }
 

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -23,23 +22,8 @@ type mutation struct {
 	file string
 	// describe names the injected defect in the selftest report.
 	describe string
-	// mutate edits the file's source. It must fail loudly when its anchor
-	// has drifted, so a stale selftest can never pass vacuously.
+	// mutate edits the file's source.
 	mutate func(src []byte) ([]byte, error)
-}
-
-// insertAfter splices insert directly after the first occurrence of anchor.
-func insertAfter(src []byte, anchor, insert string) ([]byte, error) {
-	i := bytes.Index(src, []byte(anchor))
-	if i < 0 {
-		return nil, fmt.Errorf("selftest anchor %q not found; update the mutation", anchor)
-	}
-	at := i + len(anchor)
-	out := make([]byte, 0, len(src)+len(insert))
-	out = append(out, src[:at]...)
-	out = append(out, insert...)
-	out = append(out, src[at:]...)
-	return out, nil
 }
 
 // appendSource appends decls to the end of the file.
@@ -51,32 +35,11 @@ func appendSource(src []byte, decls string) ([]byte, error) {
 }
 
 // mutations returns the per-analyzer injected defects, mirroring the chaos
-// engine's -selftest: each one is a realistic regression — a field added
-// without checkpoint coverage, an unkeyed schedule, a silent connectivity
-// flip, a fresh allocation on a hot path — that the matching analyzer must
-// catch.
+// engine's -selftest: each one is a realistic regression — a silent
+// connectivity flip, a fresh allocation on a hot path — that the matching
+// analyzer must catch.
 func mutations() []mutation {
 	return []mutation{
-		{
-			analyzer: analyzerByName("snapshotdrift"),
-			pattern:  "repro/internal/stats",
-			file:     "stats.go",
-			describe: "serializable field added to stats.Welford without State/Restore coverage",
-			mutate: func(src []byte) ([]byte, error) {
-				return insertAfter(src, "type Welford struct {",
-					"\n\tlintSelftestDrift float64")
-			},
-		},
-		{
-			analyzer: analyzerByName("keyedsched"),
-			pattern:  "repro/internal/client",
-			file:     "host.go",
-			describe: "unkeyed Kernel.Schedule call added to the snapshot-capable client package",
-			mutate: func(src []byte) ([]byte, error) {
-				return appendSource(src,
-					"func (h *Host) lintSelftestUnkeyed() { h.k.Schedule(0, func() {}) }\n")
-			},
-		},
 		{
 			analyzer: analyzerByName("epochsync"),
 			pattern:  "repro/internal/client",

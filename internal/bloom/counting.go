@@ -15,7 +15,7 @@ type CountingFilter struct {
 	m         int
 	k         int
 	widthBits int
-	//lint:ignore snapshotdrift derived saturation bound ((1<<widthBits)-1); RestoreCountingFilter recomputes it through NewCountingFilter
+	// max is the saturation bound, (1<<widthBits)-1.
 	max uint32
 	// dirty is set when a saturation event forced a discard, signalling
 	// that the vector no longer exactly reflects the cache and should be

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -61,8 +62,8 @@ func TestMarshalRoundTrip(t *testing.T) {
 }
 
 // TestMarshalCanonical: equal values must encode to identical bytes, in
-// particular regardless of map construction order — the property the state
-// digest rests on.
+// particular regardless of map construction order — the property the
+// resume byte-identity rests on.
 func TestMarshalCanonical(t *testing.T) {
 	a := sampleValue()
 	b := sampleValue()
@@ -83,9 +84,6 @@ func TestMarshalCanonical(t *testing.T) {
 		if !bytes.Equal(ea, eb) {
 			t.Fatal("equal values encoded to different bytes")
 		}
-	}
-	if Digest(ea) != Digest(ea) {
-		t.Fatal("digest is not a pure function")
 	}
 }
 
@@ -125,47 +123,76 @@ func TestUnmarshalRejectsTrailingAndTruncated(t *testing.T) {
 	}
 }
 
-func TestEnvelopeSealOpen(t *testing.T) {
-	payload := []byte("canonical state bytes")
-	env := Seal(FormatVersion, payload)
-	version, got, err := Open(env)
+// TestUnmarshalRejectsOversizedLength: a length prefix larger than the
+// input can hold must be rejected before anything is allocated for it.
+// The four bytes below claim 268M 32-byte elements (8 GiB).
+func TestUnmarshalRejectsOversizedLength(t *testing.T) {
+	type wide struct{ A, B, C, D int64 }
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var xs []wide
+	errSlice := Unmarshal([]byte{0x0f, 0xff, 0xff, 0xff}, &xs)
+	var m map[string]wide
+	errMap := Unmarshal([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}, &m)
+	runtime.ReadMemStats(&after)
+	if errSlice == nil || errMap == nil {
+		t.Fatalf("oversized length accepted: slice %v, map %v", errSlice, errMap)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding a bogus length allocated %d bytes", grew)
+	}
+	// A length the input does hold still decodes, including raw bytes
+	// that end the input.
+	data, err := Marshal([]wide{{1, 2, 3, 4}})
 	if err != nil {
-		t.Fatalf("open: %v", err)
+		t.Fatal(err)
 	}
-	if version != FormatVersion || !bytes.Equal(got, payload) {
-		t.Fatalf("open returned version %d payload %q", version, got)
+	if err := Unmarshal(data, &xs); err != nil || len(xs) != 1 || xs[0].D != 4 {
+		t.Fatalf("valid slice: %v %+v", err, xs)
 	}
-
-	// Any single flipped bit — magic, version, length, payload, or
-	// digest — must be rejected.
-	for _, pos := range []int{0, 5, 9, 20, len(env) - 3} {
-		bad := append([]byte(nil), env...)
-		bad[pos] ^= 0x40
-		if _, _, err := Open(bad); err == nil {
-			t.Fatalf("corruption at byte %d accepted", pos)
-		}
+	raw := []byte{1, 2, 3, 4, 5}
+	if data, err = Marshal(raw); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := Open(env[:10]); err == nil {
-		t.Fatal("truncated envelope accepted")
+	var got []byte
+	if err := Unmarshal(data, &got); err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("trailing byte slice: %v %v", err, got)
 	}
 }
 
-func TestEnvelopeFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.ckpt")
-	payload := []byte{1, 2, 3, 4}
-	if err := WriteFile(path, FormatVersion, payload); err != nil {
-		t.Fatalf("write: %v", err)
+// TestUnmarshalRejectsNonCanonical: every input Marshal cannot produce is
+// an error, so a successful decode always re-encodes to its input.
+func TestUnmarshalRejectsNonCanonical(t *testing.T) {
+	zero := make([]byte, 8)
+	negZero := append([]byte{0x80}, zero[1:]...)
+	cases := []struct {
+		name, want string
+		data       []byte
+		into       any
+	}{
+		{"bool byte 2", "not 0 or 1", []byte{2}, new(bool)},
+		{"pointer flag 2", "not 0 or 1", append([]byte{2}, zero...), new(*int64)},
+		{"int8 overflow", "overflows", []byte{0, 0, 0, 0, 0, 0, 1, 0}, new(int8)},
+		{"uint16 overflow", "overflows", []byte{0, 0, 0, 0, 0, 1, 0, 0}, new(uint16)},
+		{"float32 precision", "do not fit", []byte{0x3f, 0xb9, 0x99, 0x99, 0x99, 0x99, 0x99, 0x9a}, new(float32)},
+		{"map keys descending", "out of order", []byte{0, 0, 0, 2, 0, 0, 0, 1, 'b', 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 2}, new(map[string]int64)},
+		{"map key repeated", "out of order", []byte{0, 0, 0, 2, 0, 0, 0, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 'a', 0, 0, 0, 0, 0, 0, 0, 2}, new(map[string]int64)},
+		{"map keys equal as floats", "same key", bytes.Join([][]byte{{0, 0, 0, 2}, zero, {0}, negZero, {0}}, nil), new(map[float64]bool)},
 	}
-	got, err := ReadFile(path, FormatVersion)
+	for _, c := range cases {
+		if err := Unmarshal(c.data, c.into); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+	// Byte arrays are stored raw, like byte slices.
+	in := [3]byte{7, 8, 9}
+	data, err := Marshal(in)
 	if err != nil {
-		t.Fatalf("read: %v", err)
+		t.Fatal(err)
 	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("payload %v, want %v", got, payload)
-	}
-	if _, err := ReadFile(path, FormatVersion+1); err == nil {
-		t.Fatal("version mismatch accepted")
+	var out [3]byte
+	if err := Unmarshal(data, &out); err != nil || out != in {
+		t.Fatalf("byte array round trip: %v %v", err, out)
 	}
 }
 

@@ -1,9 +1,9 @@
-// Package checkpoint implements the deterministic snapshot/restore layer
-// of the simulation platform: a canonical binary codec (the same value
-// always produces the same bytes), a versioned sealed envelope with a
-// SHA-256 digest for corruption detection, an append-only crash-safe
-// journal for resumable sweeps and chaos campaigns, and the capture of a
-// full simulation's component state into one digestible SimulationState.
+// Package checkpoint implements resume at replication granularity: a
+// canonical binary codec (the same value always produces the same bytes)
+// for per-replication results, and an append-only crash-safe journal that
+// records each completed replication of a sweep or chaos campaign so a
+// killed run resumes without redoing finished work. A replication is
+// never resumed mid-run; it is re-run from its seed.
 //
 // See DESIGN.md "Checkpoint format & compatibility" for the byte layout
 // and the compatibility rules.
@@ -22,7 +22,7 @@ import (
 // for floats, length-prefixed strings and slices, struct fields in
 // declaration order, and map entries sorted by their encoded key bytes.
 // The encoding carries no field names: compatibility is governed by the
-// envelope version (see Seal), which must be bumped whenever a serialized
+// journal's FormatVersion, which must be bumped whenever a serialized
 // type changes shape.
 func Marshal(v any) ([]byte, error) {
 	var b bytes.Buffer
@@ -34,7 +34,12 @@ func Marshal(v any) ([]byte, error) {
 
 // Unmarshal decodes canonical bytes produced by Marshal into v, which
 // must be a non-nil pointer to a value of the identical type. Zero-length
-// slices and maps decode as nil.
+// slices and maps decode as nil. Only canonical input is accepted — a
+// flag byte other than 0 or 1, an integer or float that does not fit its
+// field, or map keys out of order are errors — so every successful decode
+// re-encodes to the input bytes. A slice or map length is checked against
+// the bytes left before anything is allocated, so a corrupt length prefix
+// is an error rather than an out-of-memory crash.
 func Unmarshal(data []byte, v any) error {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() != reflect.Ptr || rv.IsNil() {
@@ -171,24 +176,91 @@ func (r *reader) u64() (uint64, error) {
 		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7]), nil
 }
 
+// flag reads a one-byte boolean or pointer-presence marker, which Marshal
+// only ever writes as 0 or 1.
+func (r *reader) flag() (bool, error) {
+	b, err := r.take(1)
+	if err != nil {
+		return false, err
+	}
+	if b[0] > 1 {
+		return false, fmt.Errorf("checkpoint: flag byte %#x at offset %d is not 0 or 1", b[0], r.off-1)
+	}
+	return b[0] == 1, nil
+}
+
+// count reads a slice or map length prefix and rejects one that the bytes
+// left cannot hold at elemSize encoded bytes per element, before the
+// caller allocates for it.
+func (r *reader) count(elemSize uint64) (int, error) {
+	n, err := r.u32()
+	if err != nil {
+		return 0, err
+	}
+	if uint64(n) > uint64(len(r.data)-r.off)/max(elemSize, 1) {
+		return 0, fmt.Errorf("checkpoint: length %d at offset %d exceeds the %d bytes left", n, r.off-4, len(r.data)-r.off)
+	}
+	return int(n), nil
+}
+
+// encodedSize is the fewest bytes Marshal writes for a value of type t.
+func encodedSize(t reflect.Type) uint64 {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Ptr:
+		return 1
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64:
+		return 8
+	case reflect.String, reflect.Slice, reflect.Map:
+		return 4
+	case reflect.Array:
+		return 4 + uint64(t.Len())*elemSize(t.Elem())
+	case reflect.Struct:
+		var n uint64
+		for i := 0; i < t.NumField(); i++ {
+			if t.Field(i).PkgPath == "" {
+				n += encodedSize(t.Field(i).Type)
+			}
+		}
+		return n
+	}
+	return 0
+}
+
+// elemSize is the fewest bytes Marshal writes for one slice or array
+// element of type t: byte elements are stored raw.
+func elemSize(t reflect.Type) uint64 {
+	if t.Kind() == reflect.Uint8 {
+		return 1
+	}
+	return encodedSize(t)
+}
+
 func decodeValue(r *reader, v reflect.Value) error {
 	switch v.Kind() {
 	case reflect.Bool:
-		b, err := r.take(1)
+		b, err := r.flag()
 		if err != nil {
 			return err
 		}
-		v.SetBool(b[0] != 0)
+		v.SetBool(b)
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		u, err := r.u64()
 		if err != nil {
 			return err
+		}
+		if v.OverflowInt(int64(u)) {
+			return fmt.Errorf("checkpoint: %d overflows %v", int64(u), v.Type())
 		}
 		v.SetInt(int64(u))
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		u, err := r.u64()
 		if err != nil {
 			return err
+		}
+		if v.OverflowUint(u) {
+			return fmt.Errorf("checkpoint: %d overflows %v", u, v.Type())
 		}
 		v.SetUint(u)
 	case reflect.Float32, reflect.Float64:
@@ -197,6 +269,9 @@ func decodeValue(r *reader, v reflect.Value) error {
 			return err
 		}
 		v.SetFloat(math.Float64frombits(u))
+		if math.Float64bits(v.Float()) != u {
+			return fmt.Errorf("checkpoint: float bits %#x do not fit %v", u, v.Type())
+		}
 	case reflect.String:
 		n, err := r.u32()
 		if err != nil {
@@ -208,7 +283,8 @@ func decodeValue(r *reader, v reflect.Value) error {
 		}
 		v.SetString(string(b))
 	case reflect.Slice:
-		n, err := r.u32()
+		elem := v.Type().Elem()
+		n, err := r.count(elemSize(elem))
 		if err != nil {
 			return err
 		}
@@ -216,20 +292,9 @@ func decodeValue(r *reader, v reflect.Value) error {
 			v.Set(reflect.Zero(v.Type()))
 			return nil
 		}
-		s := reflect.MakeSlice(v.Type(), int(n), int(n))
-		if v.Type().Elem().Kind() == reflect.Uint8 {
-			b, err := r.take(int(n))
-			if err != nil {
-				return err
-			}
-			reflect.Copy(s, reflect.ValueOf(b))
-			v.Set(s)
-			return nil
-		}
-		for i := 0; i < int(n); i++ {
-			if err := decodeValue(r, s.Index(i)); err != nil {
-				return err
-			}
+		s := reflect.MakeSlice(v.Type(), n, n)
+		if err := decodeElems(r, s, elem); err != nil {
+			return err
 		}
 		v.Set(s)
 	case reflect.Array:
@@ -240,13 +305,9 @@ func decodeValue(r *reader, v reflect.Value) error {
 		if int(n) != v.Len() {
 			return fmt.Errorf("checkpoint: array length %d does not match type %v", n, v.Type())
 		}
-		for i := 0; i < int(n); i++ {
-			if err := decodeValue(r, v.Index(i)); err != nil {
-				return err
-			}
-		}
+		return decodeElems(r, v, v.Type().Elem())
 	case reflect.Map:
-		n, err := r.u32()
+		n, err := r.count(encodedSize(v.Type().Key()) + encodedSize(v.Type().Elem()))
 		if err != nil {
 			return err
 		}
@@ -254,17 +315,28 @@ func decodeValue(r *reader, v reflect.Value) error {
 			v.Set(reflect.Zero(v.Type()))
 			return nil
 		}
-		m := reflect.MakeMapWithSize(v.Type(), int(n))
-		for i := 0; i < int(n); i++ {
+		m := reflect.MakeMapWithSize(v.Type(), n)
+		var prev []byte
+		for i := 0; i < n; i++ {
 			k := reflect.New(v.Type().Key()).Elem()
+			start := r.off
 			if err := decodeValue(r, k); err != nil {
 				return err
 			}
+			// Marshal writes keys in strictly ascending encoded order.
+			key := r.data[start:r.off]
+			if i > 0 && bytes.Compare(prev, key) >= 0 {
+				return fmt.Errorf("checkpoint: map key at offset %d is out of order or repeated", start)
+			}
+			prev = key
 			e := reflect.New(v.Type().Elem()).Elem()
 			if err := decodeValue(r, e); err != nil {
 				return err
 			}
 			m.SetMapIndex(k, e)
+			if m.Len() != i+1 {
+				return fmt.Errorf("checkpoint: map key at offset %d is the same key as an earlier one", start)
+			}
 		}
 		v.Set(m)
 	case reflect.Struct:
@@ -278,11 +350,11 @@ func decodeValue(r *reader, v reflect.Value) error {
 			}
 		}
 	case reflect.Ptr:
-		b, err := r.take(1)
+		present, err := r.flag()
 		if err != nil {
 			return err
 		}
-		if b[0] == 0 {
+		if !present {
 			v.Set(reflect.Zero(v.Type()))
 			return nil
 		}
@@ -293,6 +365,27 @@ func decodeValue(r *reader, v reflect.Value) error {
 		v.Set(p)
 	default:
 		return fmt.Errorf("checkpoint: cannot decode kind %v", v.Kind())
+	}
+	return nil
+}
+
+// decodeElems fills the elements of slice or array v. Byte elements are
+// stored raw, as Marshal writes them.
+func decodeElems(r *reader, v reflect.Value, elem reflect.Type) error {
+	if elem.Kind() == reflect.Uint8 {
+		b, err := r.take(v.Len())
+		if err != nil {
+			return err
+		}
+		for i, c := range b {
+			v.Index(i).SetUint(uint64(c))
+		}
+		return nil
+	}
+	for i := 0; i < v.Len(); i++ {
+		if err := decodeValue(r, v.Index(i)); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -9,6 +9,12 @@ import (
 	"sync"
 )
 
+// FormatVersion is the journal format version, written after the magic.
+// It must be bumped whenever the record framing or the shape of any
+// journaled payload type changes; loading rejects journals from other
+// versions instead of guessing.
+const FormatVersion uint32 = 1
+
 // journalMagic identifies a journal file; the u32 after it is the format
 // version (FormatVersion).
 var journalMagic = []byte("GCKJ")
@@ -61,10 +67,7 @@ func OpenJournal(dir string, meta []byte) (*Journal, error) {
 			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
 		j.f = f
-		var header bytes.Buffer
-		header.Write(journalMagic)
-		putU32(&header, FormatVersion)
-		if _, err := f.Write(header.Bytes()); err != nil {
+		if _, err := f.Write(journalHeader()); err != nil {
 			_ = f.Close()
 			return nil, fmt.Errorf("checkpoint: %w", err)
 		}
@@ -165,6 +168,26 @@ func readRecord(r *reader) (key string, payload []byte, ok bool) {
 	return string(kb), pb, true
 }
 
+// journalHeader is the magic and version every journal starts with.
+func journalHeader() []byte {
+	var b bytes.Buffer
+	b.Write(journalMagic)
+	putU32(&b, FormatVersion)
+	return b.Bytes()
+}
+
+// frame encodes one record as readRecord parses it.
+func frame(key string, payload []byte) []byte {
+	var b bytes.Buffer
+	putU32(&b, uint32(len(key)))
+	b.WriteString(key)
+	putU32(&b, uint32(len(payload)))
+	b.Write(payload)
+	sum := sha256.Sum256(b.Bytes())
+	b.Write(sum[:])
+	return b.Bytes()
+}
+
 func (j *Journal) put(key string, payload []byte) {
 	if _, seen := j.records[key]; !seen {
 		j.keys = append(j.keys, key)
@@ -178,21 +201,15 @@ func (j *Journal) put(key string, payload []byte) {
 func (j *Journal) Append(key string, payload []byte) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	var b bytes.Buffer
-	putU32(&b, uint32(len(key)))
-	b.WriteString(key)
-	putU32(&b, uint32(len(payload)))
-	b.Write(payload)
-	sum := sha256.Sum256(b.Bytes())
-	b.Write(sum[:])
-	if _, err := j.f.Write(b.Bytes()); err != nil {
+	rec := frame(key, payload)
+	if _, err := j.f.Write(rec); err != nil {
 		return fmt.Errorf("checkpoint: journal append: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("checkpoint: journal sync: %w", err)
 	}
 	j.put(key, payload)
-	off := int64(len(b.Bytes()))
+	off := int64(len(rec))
 	if len(j.offsets) > 0 {
 		off += j.offsets[len(j.offsets)-1]
 	} else {

@@ -87,12 +87,13 @@ func (p *pendingRequest) cancelTimers() {
 type Host struct {
 	id network.NodeID
 	k  *sim.Kernel
-	//lint:ignore snapshotdrift construction-time run configuration, identical for every host in a cell; the sweep records it, not the per-host image
+	// cfg is the construction-time run configuration, identical for every
+	// host in a cell.
 	cfg Config
 	// strat is the construction-time strategy dispatch derived from
 	// cfg.Scheme via the registry, never mutated after New.
 	strat strategy.Scheme
-	//lint:ignore snapshotdrift construction-time trait flags cached off strat, never mutated after New
+	// traits caches strat's trait flags, never mutated after New.
 	traits    strategy.Traits
 	mob       mobility.Node
 	medium    *network.Medium
@@ -110,8 +111,7 @@ type Host struct {
 
 	// breaker is the MSS server-link circuit breaker; nil unless the
 	// resilience policy enables one. resilSpent accumulates the host's
-	// lifetime retry-budget spending for the conservation invariant and
-	// the checkpoint image.
+	// lifetime retry-budget spending for the conservation invariant.
 	breaker    *resilience.Breaker
 	resilSpent uint64
 
@@ -140,15 +140,15 @@ type Host struct {
 	// Spillover state: request activity estimate and neighbor beacon table.
 	activityGap   stats.EWMA
 	lastRequestAt time.Duration
-	//lint:ignore snapshotdrift soft state re-learned from periodic NDP beacons and discarded as stale after three intervals; deliberately outside the quiescent image
+	// neighborStates and neighborHints are soft state re-learned from
+	// periodic NDP beacons and discarded as stale after three intervals.
 	neighborStates map[network.NodeID]neighborState
-	//lint:ignore snapshotdrift neighbour-hint soft state, same contract as neighborStates: re-learned from beacons, stale after three intervals
-	neighborHints map[workload.ItemID]hintState
-	//lint:ignore snapshotdrift construction-time constant copied from the NDP config, never mutated after New
+	neighborHints  map[workload.ItemID]hintState
+	// beaconInterval is copied from the NDP config, never mutated after New.
 	beaconInterval time.Duration
 
 	// Flood deduplication for HopDist > 1.
-	//lint:ignore snapshotdrift bounded dedup window flushed wholesale when full; re-seeding it empty only risks one duplicate flood per key, never divergence
+	// A bounded window, flushed wholesale when full.
 	seenFloods map[floodKey]struct{}
 
 	// GroCoca state.
@@ -156,7 +156,7 @@ type Host struct {
 	ownSig  *bloom.CountingFilter
 	peerVec *bloom.PeerVector
 	haveSig map[network.NodeID]*bloom.Filter
-	//lint:ignore snapshotdrift marks in-flight signature requests whose reply messages are themselves uncapturable; the quiescent contract drops the marker with the message
+	// outstandSig marks peers with an in-flight signature request.
 	outstandSig       map[network.NodeID]struct{}
 	insertDelta       map[int]struct{}
 	evictDelta        map[int]struct{}
@@ -325,11 +325,9 @@ func (h *Host) Start() {
 		h.ndp.Start()
 	}
 	if h.traits.Signatures && h.cfg.ExplicitUpdateAfter > 0 {
-		//lint:ignore keyedsched periodic explicit-update timer; HostState is digest-only (resume re-runs the replication), so a pending timer marking the kernel non-quiescent is the contract working
 		h.k.Schedule(h.cfg.ExplicitUpdateAfter, h.explicitUpdateTick)
 	}
 	if h.faults != nil && h.faults.CrashEnabled() {
-		//lint:ignore keyedsched crash-churn timer lives for the whole run; deliberately unkeyed under the digest-only host checkpoint contract
 		h.k.Schedule(h.faults.CrashDelay(h.id), h.crash)
 	}
 	h.scheduleNextRequest()
@@ -356,7 +354,6 @@ func (h *Host) scheduleNextRequest() {
 	item, think := h.gen.Next()
 	h.nextReqItem = item
 	h.nextReqPending = true
-	//lint:ignore keyedsched think timer for the next request; crash recovery re-issues nextReqItem, and resume re-runs the replication rather than restoring timers
 	h.nextReqEv = h.k.Schedule(think, func() {
 		h.nextReqPending = false
 		h.nextReqEv = nil
@@ -441,7 +438,6 @@ func (h *Host) crash() {
 		return
 	}
 	if !h.connected {
-		//lint:ignore keyedsched deferred crash re-arm; deliberately unkeyed under the digest-only host checkpoint contract
 		h.k.Schedule(h.faults.CrashDelay(h.id), h.crash)
 		return
 	}
@@ -471,7 +467,6 @@ func (h *Host) crash() {
 		p.cause = "crash-abort"
 		h.finish(p, OutcomeFailure)
 	}
-	//lint:ignore keyedsched crash-downtime timer; deliberately unkeyed under the digest-only host checkpoint contract
 	h.k.Schedule(h.faults.CrashDowntime(h.id), h.recoverFromCrash)
 }
 
@@ -488,7 +483,6 @@ func (h *Host) recoverFromCrash() {
 	if h.traits.Signatures {
 		h.reconnectSignatures()
 	}
-	//lint:ignore keyedsched crash re-arm after recovery; deliberately unkeyed under the digest-only host checkpoint contract
 	h.k.Schedule(h.faults.CrashDelay(h.id), h.crash)
 	if h.nextReqPending {
 		h.nextReqPending = false
@@ -506,7 +500,6 @@ func (h *Host) disconnect() {
 		h.ndp.Stop()
 	}
 	length := h.rngDisc.UniformDuration(h.cfg.DiscMin, h.cfg.DiscMax)
-	//lint:ignore keyedsched voluntary-disconnection reconnect timer; deliberately unkeyed under the digest-only host checkpoint contract
 	h.k.Schedule(length, h.reconnect)
 }
 
@@ -541,7 +534,6 @@ func (h *Host) explicitUpdateTick() {
 		})
 	}
 	if h.completed < h.totalRequests() {
-		//lint:ignore keyedsched explicit-update re-arm; deliberately unkeyed under the digest-only host checkpoint contract
 		h.k.Schedule(h.cfg.ExplicitUpdateAfter, h.explicitUpdateTick)
 	}
 }

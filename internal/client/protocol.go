@@ -130,7 +130,6 @@ func (h *Host) broadcastSearch(item workload.ItemID) {
 		Size:    network.RequestSize,
 		Payload: payload,
 	})
-	//lint:ignore keyedsched request-lifecycle timeout: it only exists while cur != nil, and Host.State refuses to capture a non-quiescent host, so it can never be pending at a checkpoint
 	p.timeout = h.k.Schedule(h.capToDeadline(p, h.searchTimeout()), func() {
 		if h.cur == p && p.phase == phaseWaitReply {
 			h.collector.peerTimeouts++
@@ -261,7 +260,6 @@ func (h *Host) handleReply(msg network.Message) {
 		},
 	})
 	to := h.capToDeadline(p, h.dataTimeout())
-	//lint:ignore keyedsched request-lifecycle timeout, unreachable at a quiescent capture (State refuses while cur != nil)
 	p.timeout = h.k.Schedule(to, func() { h.dataTimeoutFired(p) })
 	h.armHedge(p, to)
 }
@@ -299,7 +297,6 @@ func (h *Host) dataTimeoutFired(p *pendingRequest) {
 				},
 			})
 			backoff := h.retrieveBackoff(p)
-			//lint:ignore keyedsched request-lifecycle retry backoff, unreachable at a quiescent capture (State refuses while cur != nil)
 			p.timeout = h.k.Schedule(backoff, func() { h.dataTimeoutFired(p) })
 			return
 		}
@@ -503,7 +500,6 @@ func (h *Host) armServerRescue(p *pendingRequest, want phase, resend func()) {
 	if !h.resilienceOn() && h.cfg.ServerRetryLimit <= 0 {
 		return
 	}
-	//lint:ignore keyedsched request-lifecycle rescue timer, unreachable at a quiescent capture (State refuses while cur != nil)
 	p.timeout = h.k.Schedule(h.rescueTimeout(p), func() { h.serverRescueFired(p, want, resend) })
 }
 

@@ -167,7 +167,6 @@ func (h *Host) armHedge(p *pendingRequest, dataTimeout time.Duration) {
 	if delay < time.Millisecond {
 		delay = time.Millisecond
 	}
-	//lint:ignore keyedsched request-lifecycle hedge timer, unreachable at a quiescent capture (State refuses while cur != nil)
 	p.hedge = h.k.Schedule(delay, func() { h.hedgeFired(p) })
 }
 

@@ -43,8 +43,7 @@ type gridEntry struct {
 //   - The candidate filter is the exact geo.WithinRange predicate on the
 //     stored positions — bit-identical to the brute-force pairwise scan it
 //     replaces, including the boundary case Dist(p, q) == r.
-//   - The grid is derived state: owners rebuild it from authoritative
-//     positions after a restore and never serialize it.
+//   - The grid is derived state, rebuilt from authoritative positions.
 //
 // Positions may be any float64 values, including negatives, infinities and
 // NaN; NaN coordinates land in cell 0 and (exactly like the brute-force

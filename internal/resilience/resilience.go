@@ -210,7 +210,7 @@ type Breaker struct {
 	opens    uint64
 
 	// onTransition observes every state edge (for the audit feed and the
-	// breaker counters); it is wiring, re-attached on restore.
+	// breaker counters).
 	onTransition func(at time.Duration, from, to State, cause string)
 }
 

@@ -199,28 +199,3 @@ func TestNewBreakerDisabled(t *testing.T) {
 		t.Fatal("threshold 0 must not build a breaker")
 	}
 }
-
-// TestBreakerSnapshotRoundTrip proves the State/Restore pair conveys the
-// full machine: a restored breaker continues exactly where the original
-// would.
-func TestBreakerSnapshotRoundTrip(t *testing.T) {
-	pol := DefaultPolicy()
-	pol.BreakerFailures = 2
-	b := NewBreaker(pol, nil)
-	b.Failure(time.Second)
-	b.Failure(2 * time.Second)
-	if b.Current() != Open {
-		t.Fatal("setup: breaker should be open")
-	}
-	st := b.Snapshot()
-	r := RestoreBreaker(st, nil)
-	if r.Snapshot() != st {
-		t.Fatalf("round trip drift:\n got %+v\nwant %+v", r.Snapshot(), st)
-	}
-	if r.Allow(2*time.Second + pol.BreakerOpenFor - time.Millisecond) {
-		t.Fatal("restored breaker must still honor the open window")
-	}
-	if !r.Allow(2*time.Second+pol.BreakerOpenFor) || r.Current() != HalfOpen {
-		t.Fatal("restored breaker must probe after the window")
-	}
-}

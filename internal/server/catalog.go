@@ -203,14 +203,12 @@ func (u *Updater) Start() {
 	u.running = true
 	if u.rate > 0 {
 		u.scheduleNext()
-		//lint:ignore keyedsched self-rearming periodic driver; a restored server re-arms it through Start rather than serializing it, so it is deliberately unkeyed
 		u.k.Schedule(u.reviseEvery, u.reviseLoop)
 	}
 }
 
 func (u *Updater) scheduleNext() {
 	mean := time.Duration(float64(time.Second) / u.rate)
-	//lint:ignore keyedsched self-rearming Poisson update driver, re-armed through Start after restore; deliberately unkeyed
 	u.k.Schedule(u.rng.Exp(mean), func() {
 		u.catalog.Update(workload.ItemID(u.rng.Intn(u.catalog.Len())))
 		u.scheduleNext()
@@ -219,6 +217,5 @@ func (u *Updater) scheduleNext() {
 
 func (u *Updater) reviseLoop() {
 	u.catalog.ReviseStale()
-	//lint:ignore keyedsched self-rearming revision loop, re-armed through Start after restore; deliberately unkeyed
 	u.k.Schedule(u.reviseEvery, u.reviseLoop)
 }
