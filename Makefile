@@ -151,12 +151,14 @@ bench-check:
 ## fuzz-smoke: short native-fuzzing passes over the spatial index — the
 ## grid-vs-brute-force equivalence oracle under fuzzer-chosen geometry
 ## (NaN, infinities, cell-boundary and int32-overflow coordinates) — and
-## over what resume reads from disk: the codec decoding arbitrary bytes
-## as a journaled Results, and journal loading of arbitrary and cut files.
+## over what is read from disk or the air: the codec decoding arbitrary
+## bytes as a journaled Results, journal loading of arbitrary and cut
+## files, and the VLFL signature decoder under arbitrary (m, k, R).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzGridQuery -fuzztime 30s ./internal/geo/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshal -fuzztime 15s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzJournalLoad -fuzztime 15s ./internal/checkpoint/
+	$(GO) test -run '^$$' -fuzz FuzzDecodeVLFL -fuzztime 15s ./internal/bloom/
 
 ## resume-smoke: crash-resume proven end to end with real SIGKILLs.
 ## Leg 1: a sweep is run to a golden CSV, rerun with journaling and

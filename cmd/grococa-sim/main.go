@@ -13,6 +13,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
+	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
@@ -38,7 +40,7 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+func run(args []string) (err error) {
 	fs := flag.NewFlagSet("grococa-sim", flag.ContinueOnError)
 	cfg := core.DefaultConfig()
 
@@ -121,6 +123,8 @@ func run(args []string) error {
 	reps := fs.Int("reps", 1, "independent replications with derived seeds; > 1 prints mean ± sample sd")
 	parallel := fs.Int("parallel", 0, "worker goroutines for -reps (0 = GOMAXPROCS); output is identical for any value")
 	resume := fs.String("resume", "", "journal completed replications in this directory and resume an interrupted run from it (implies the -reps path)")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof format)")
+	memProfile := fs.String("memprofile", "", "write a heap profile taken at the end of the run to this file")
 
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -165,10 +169,20 @@ func run(args []string) error {
 	if *reps < 1 {
 		return fmt.Errorf("-reps %d must be at least 1", *reps)
 	}
-	if *reps > 1 || *resume != "" {
-		if *traceFile != "" {
-			return fmt.Errorf("-tracefile requires -reps 1 without -resume (a trace is one run's requests)")
+	if (*reps > 1 || *resume != "") && *traceFile != "" {
+		return fmt.Errorf("-tracefile requires -reps 1 without -resume (a trace is one run's requests)")
+	}
+
+	stopProfiles, err := startProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if perr := stopProfiles(); err == nil {
+			err = perr
 		}
+	}()
+	if *reps > 1 || *resume != "" {
 		return runReplicated(cfg, *reps, *parallel, *resume)
 	}
 
@@ -262,6 +276,53 @@ func run(args []string) error {
 		}
 	}
 	return nil
+}
+
+// startProfiles starts a CPU profile into cpuPath and opens memPath for a
+// heap profile, each only when its path is set. The returned stop ends the
+// CPU profile and writes the heap profile. Profiling samples the process,
+// never the simulation: it draws no randomness and schedules no events, so
+// results are identical with it on.
+func startProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu, mem *os.File
+	if memPath != "" {
+		if mem, err = os.Create(memPath); err != nil {
+			return nil, fmt.Errorf("memory profile: %w", err)
+		}
+	}
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err == nil {
+			if err = pprof.StartCPUProfile(cpu); err != nil {
+				_ = cpu.Close()
+			}
+		}
+		if err != nil {
+			if mem != nil {
+				_ = mem.Close()
+			}
+			return nil, fmt.Errorf("cpu profile: %w", err)
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return fmt.Errorf("cpu profile: %w", err)
+			}
+		}
+		if mem == nil {
+			return nil
+		}
+		runtime.GC() // profile the heap still live at the end of the run
+		err := pprof.WriteHeapProfile(mem)
+		if cerr := mem.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return fmt.Errorf("memory profile: %w", err)
+		}
+		return nil
+	}, nil
 }
 
 // runReplicated runs the configuration -reps times on the parallel sweep

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
@@ -9,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/core"
 )
 
 // tinyArgs shrink the run so command tests finish in milliseconds.
@@ -132,17 +136,26 @@ func TestRunRejectsUnwritableTrace(t *testing.T) {
 // wall-time figure in the summary is computed from it (0s when frozen) —
 // the seam the wallclock lint allowlist depends on.
 func TestRunWithFrozenClock(t *testing.T) {
-	old := wallClock
-	wallClock = clock.Fixed{T: time.Unix(1700000000, 0)}
-	defer func() { wallClock = old }()
+	out := captureRun(t, append([]string{"-scheme", "sc"}, tinyArgs...))
+	if !strings.Contains(out, "wall=0s") {
+		t.Errorf("frozen clock did not zero the wall-time figure:\n%s", out)
+	}
+}
 
+// captureRun runs the command under a frozen wall clock and returns its
+// standard output, which is then a pure function of the flags.
+func captureRun(t *testing.T, args []string) string {
+	t.Helper()
+	oldClock := wallClock
+	wallClock = clock.Fixed{T: time.Unix(1700000000, 0)}
+	defer func() { wallClock = oldClock }()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
 	oldStdout := os.Stdout
 	os.Stdout = w
-	runErr := run(append([]string{"-scheme", "sc"}, tinyArgs...))
+	runErr := run(args)
 	os.Stdout = oldStdout
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
@@ -154,7 +167,64 @@ func TestRunWithFrozenClock(t *testing.T) {
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	if !strings.Contains(string(out), "wall=0s") {
-		t.Errorf("frozen clock did not zero the wall-time figure:\n%s", out)
+	return string(out)
+}
+
+// TestProfileFlagsKeepResults checks that -cpuprofile and -memprofile
+// write non-empty profiles and change nothing the simulation computes:
+// the Results digest of a profiled run equals the unprofiled one, and so
+// does the command's full -v output.
+func TestProfileFlagsKeepResults(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+
+	cfg := core.DefaultConfig()
+	cfg.NumClients, cfg.NData, cfg.AccessRange, cfg.CacheSize = 8, 400, 80, 15
+	cfg.WarmupRequests, cfg.MeasuredRequests = 5, 10
+	digest := func() string {
+		t.Helper()
+		r, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		return hex.EncodeToString(sum[:])
+	}
+	plain := digest()
+	stop, err := startProfiles(cpu, mem)
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiled := digest()
+	if err := stop(); err != nil {
+		t.Fatal(err)
+	}
+	if plain != profiled {
+		t.Errorf("profiling changed the Results digest: %s, profiled %s", plain, profiled)
+	}
+
+	args := append([]string{"-scheme", "grococa", "-v"}, tinyArgs...)
+	want := captureRun(t, args)
+	got := captureRun(t, append([]string{"-cpuprofile", cpu, "-memprofile", mem}, args...))
+	if got != want {
+		t.Errorf("profile flags changed the output:\n%s\nwant:\n%s", got, want)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil || st.Size() == 0 {
+			t.Errorf("profile %s missing or empty (err %v)", p, err)
+		}
+	}
+}
+
+func TestRunRejectsUnwritableProfile(t *testing.T) {
+	for _, flag := range []string{"-cpuprofile", "-memprofile"} {
+		args := append([]string{flag, "/nonexistent-dir/p.pprof"}, tinyArgs...)
+		if err := run(args); err == nil {
+			t.Errorf("unwritable %s path accepted", flag)
+		}
 	}
 }

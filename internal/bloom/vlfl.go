@@ -89,12 +89,27 @@ func EncodeVLFL(f *Filter, r int) ([]byte, int, error) {
 	return w.buf, w.nbit, nil
 }
 
+// maxDecodeBits caps the signature size DecodeVLFL accepts: 2^24 bits
+// (2 MiB), three orders of magnitude above Table II's σ = 10000. A stream
+// and its m arrive from a peer, so a corrupt m must not allocate without
+// bound.
+const maxDecodeBits = 1 << 24
+
 // DecodeVLFL reconstructs a filter of m bits and k hashes from a VLFL
-// stream encoded with run bound R.
+// stream encoded with run bound R. It rejects m above 2^24 bits and, before
+// allocating, any stream too short to cover m bits.
 func DecodeVLFL(data []byte, m, k, r int) (*Filter, error) {
 	width, err := codewordWidth(r)
 	if err != nil {
 		return nil, err
+	}
+	if m > maxDecodeBits {
+		return nil, fmt.Errorf("bloom: vlfl signature of %d bits exceeds the %d-bit limit", m, maxDecodeBits)
+	}
+	// A codeword covers at most R bits, and at most 2^32 when codewords
+	// are wider than the uint32 they decode to.
+	if span := min(int64(r), 1<<32); m > 0 && (int64(m)+span-1)/span*int64(width) > 8*int64(len(data)) {
+		return nil, fmt.Errorf("bloom: vlfl stream of %d bits cannot cover %d signature bits", 8*len(data), m)
 	}
 	f, err := NewFilter(m, k)
 	if err != nil {

@@ -275,6 +275,9 @@ func (h *Host) ID() network.NodeID { return h.id }
 // Position implements network.Peer.
 func (h *Host) Position(t time.Duration) geo.Point { return h.mob.Position(t) }
 
+// Horizon implements network.Peer by forwarding to the mobility model.
+func (h *Host) Horizon() (time.Duration, float64) { return h.mob.Horizon() }
+
 // Connected implements network.Peer.
 func (h *Host) Connected() bool { return h.connected }
 

@@ -140,7 +140,7 @@ func (g *Grid) Move(id GridID, p Point) error {
 }
 
 // Upsert inserts id at p, or moves it there if already present. This is
-// the infallible hot-path entry point the medium's position sweep uses.
+// the infallible hot-path entry point the medium's resampling uses.
 func (g *Grid) Upsert(id GridID, p Point) {
 	old, ok := g.where[id]
 	if !ok {
@@ -230,8 +230,10 @@ func (g *Grid) AppendRange(dst []GridID, p Point, r float64) []GridID {
 	if cx0 > cx1 || cy0 > cy1 {
 		return dst
 	}
+	// Both axes can span the whole clamped int32 cell space, where nx·ny
+	// overflows int64; bounding each side first keeps the product exact.
 	nx, ny := int64(cx1)-int64(cx0)+1, int64(cy1)-int64(cy0)+1
-	if nx*ny <= 4*int64(len(g.cells))+16 {
+	if budget := 4*int64(len(g.cells)) + 16; nx <= budget && ny <= budget && nx*ny <= budget {
 		// Dense path: walk the cell rectangle in deterministic row-major
 		// order. With cell ≈ r this is the 3×3 block around p.
 		for cy := cy0; ; cy++ {

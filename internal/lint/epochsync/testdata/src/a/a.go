@@ -4,11 +4,11 @@
 // fields staying unflagged.
 package a
 
-// Medium stands in for the network medium's epoch counter.
-type Medium struct{ epoch uint64 }
+// Medium stands in for the network medium's resample queue.
+type Medium struct{ requeued []int }
 
-// ConnectivityChanged bumps the epoch.
-func (m *Medium) ConnectivityChanged(id int) { m.epoch++ }
+// ConnectivityChanged re-queues the host.
+func (m *Medium) ConnectivityChanged(id int) { m.requeued = append(m.requeued, id) }
 
 // Peer is a connectable endpoint; Connected reads online directly and
 // failures through a helper, so both are connectivity fields.
@@ -26,7 +26,7 @@ func (p *Peer) Connected() bool { return p.online && p.healthy() }
 func (p *Peer) healthy() bool { return p.failures < 3 }
 
 // NewPeer initializes connectivity state through a composite literal:
-// exempt, registration bumps the epoch itself.
+// exempt, registration reads the initial connectivity itself.
 func NewPeer(id int, m *Medium) *Peer {
 	return &Peer{id: id, m: m, online: true}
 }

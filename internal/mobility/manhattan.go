@@ -88,6 +88,12 @@ func (m *Manhattan) Position(t time.Duration) geo.Point {
 	return m.segmentAt(t).at(t)
 }
 
+// Horizon implements Node: the current block or pause is fixed until it
+// ends.
+func (m *Manhattan) Horizon() (time.Duration, float64) {
+	return m.cur.end, m.cur.speed()
+}
+
 // segmentAt extends the trajectory until it covers t.
 func (m *Manhattan) segmentAt(t time.Duration) segment {
 	for t > m.cur.end {

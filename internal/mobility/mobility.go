@@ -13,6 +13,7 @@ package mobility
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/geo"
@@ -22,15 +23,40 @@ import (
 // Node is anything whose position can be sampled over simulation time.
 // Position must be called with non-decreasing times; the simulation's global
 // clock guarantees this.
+//
+// Horizon describes the linear piece the last Position call landed on:
+// Position(t) is a pure function of t — it draws no randomness and changes
+// no state — for every t up to until, and across that span the position
+// moves at most speed metres per second. A zero speed means Position
+// returns the same point, bit for bit, until then. Before the first
+// Position call until may lie before time zero.
 type Node interface {
 	Position(t time.Duration) geo.Point
+	Horizon() (until time.Duration, speed float64)
 }
+
+// forever is the horizon of a trajectory that never draws again.
+const forever = time.Duration(math.MaxInt64)
 
 // segment is one linear piece of a trajectory: the node moves from From to
 // To over [Start, End]. Pauses are segments with From == To.
 type segment struct {
 	start, end time.Duration
 	from, to   geo.Point
+}
+
+// speed is the segment's travel speed in m/s; zero for pauses and
+// zero-length segments.
+func (s segment) speed() float64 {
+	return legSpeed(s.from, s.to, s.end-s.start)
+}
+
+// legSpeed is the speed of covering from→to in d.
+func legSpeed(from, to geo.Point, d time.Duration) float64 {
+	if d <= 0 || from == to {
+		return 0
+	}
+	return geo.Dist(from, to) / d.Seconds()
 }
 
 func (s segment) at(t time.Duration) geo.Point {
@@ -108,6 +134,11 @@ func randPoint(r geo.Rect, rng *sim.RNG) geo.Point {
 // calls).
 func (w *Waypoint) Position(t time.Duration) geo.Point {
 	return w.segmentAt(t).at(t)
+}
+
+// Horizon implements Node: the current segment is fixed until it ends.
+func (w *Waypoint) Horizon() (time.Duration, float64) {
+	return w.cur.end, w.cur.speed()
 }
 
 // segmentAt extends the trajectory until it covers t and returns the
@@ -256,6 +287,19 @@ func (m *Member) Position(t time.Duration) geo.Point {
 	return m.g.space.Clamp(ref.at(t).Add(off))
 }
 
+// Horizon implements Node. Position draws only on entering a reference
+// segment it has not seen, so it stays pure until the last seen segment
+// ends. The speed adds the reference speed to the offset's drift speed;
+// clamping to the space never moves a point faster. Before the first
+// Position call every time draws, so until is -1.
+func (m *Member) Horizon() (time.Duration, float64) {
+	if !m.segSet {
+		return -1, 0
+	}
+	d := m.seg.end - m.seg.start
+	return m.seg.end, m.seg.speed() + legSpeed(m.offStart, m.offEnd, d)
+}
+
 // Fixed is a stationary node, useful for tests and for modelling the MSS.
 type Fixed struct {
 	At geo.Point
@@ -265,3 +309,6 @@ var _ Node = Fixed{}
 
 // Position returns the fixed location regardless of time.
 func (f Fixed) Position(time.Duration) geo.Point { return f.At }
+
+// Horizon implements Node: a fixed node never moves and never draws.
+func (f Fixed) Horizon() (time.Duration, float64) { return forever, 0 }

@@ -8,8 +8,8 @@
 // Cost model: each beacon is one medium Broadcast, so a population of N
 // hosts beaconing on a shared interval completes N transmissions per
 // period. With the medium's spatial index each completion costs O(k) for
-// k in-range hosts (one shared position sweep per timestamp), keeping a
-// beacon tick at O(N·k) instead of the pairwise scan's O(N²).
+// k in-range hosts plus the hosts due for resampling, keeping a beacon
+// tick at O(N·k) instead of the pairwise scan's O(N²).
 package ndp
 
 import (

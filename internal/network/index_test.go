@@ -1,10 +1,14 @@
 package network
 
 import (
+	"fmt"
+	"math"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/geo"
+	"repro/internal/mobility"
 	"repro/internal/sim"
 )
 
@@ -22,6 +26,9 @@ func (p *movingPeer) ID() NodeID { return p.id }
 func (p *movingPeer) Position(t time.Duration) geo.Point {
 	s := t.Seconds()
 	return geo.Point{X: p.origin.X + p.vx*s, Y: p.origin.Y + p.vy*s}
+}
+func (p *movingPeer) Horizon() (time.Duration, float64) {
+	return math.MaxInt64, math.Hypot(p.vx, p.vy)
 }
 func (p *movingPeer) Connected() bool     { return p.connected }
 func (p *movingPeer) Receive(msg Message) { p.inbox = append(p.inbox, msg) }
@@ -175,7 +182,7 @@ func TestNeighborsSteadyStateAllocs(t *testing.T) {
 	for i := 0; i < n; i++ {
 		addPeer(t, m, NodeID(i+1), float64((i%10)*30), float64((i/10)*30))
 	}
-	// Warm up: grow the sweep cache and all scratch buffers.
+	// Warm up: sample every host and grow all scratch buffers.
 	for i := 0; i < n; i++ {
 		m.Neighbors(NodeID(i + 1))
 	}
@@ -186,5 +193,142 @@ func TestNeighborsSteadyStateAllocs(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Errorf("Neighbors allocates %.1f per call in steady state, want 0", avg)
+	}
+}
+
+// rpgmPeer is a test peer moving under the RPGM model, so its Position
+// calls draw from its motion group's shared RNG stream.
+type rpgmPeer struct {
+	id        NodeID
+	mob       mobility.Node
+	connected bool
+	inbox     []Message
+}
+
+func (p *rpgmPeer) ID() NodeID                                    { return p.id }
+func (p *rpgmPeer) Position(t time.Duration) geo.Point            { return p.mob.Position(t) }
+func (p *rpgmPeer) Horizon() (until time.Duration, speed float64) { return p.mob.Horizon() }
+func (p *rpgmPeer) Connected() bool                               { return p.connected }
+func (p *rpgmPeer) Receive(msg Message)                           { p.inbox = append(p.inbox, msg) }
+func (p *rpgmPeer) setConnected(m *Medium, c bool) {
+	if p.connected != c {
+		p.connected = c
+		m.ConnectivityChanged(p.id)
+	}
+}
+
+// rpgmWorld builds one medium whose peers are members of identically
+// seeded motion groups: random-waypoint and Manhattan groups of several
+// sizes, plus a single-member zero-radius group.
+func rpgmWorld(t *testing.T, k *sim.Kernel, brute bool) (*Medium, []*rpgmPeer) {
+	t.Helper()
+	m, err := NewMedium(k, MediumConfig{
+		BandwidthKbps: 2000,
+		RangeM:        100,
+		Power:         DefaultPowerModel(),
+		BruteForce:    brute,
+	}, NewMeter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := mobility.Config{Space: geo.NewRect(500, 500), MinSpeed: 2, MaxSpeed: 15, Pause: time.Second}
+	root := sim.NewRNG(41).Stream("rpgm")
+	var peers []*rpgmPeer
+	for g, size := range []int{8, 8, 1, 12, 6, 10, 7, 9} {
+		rng := root.Stream(fmt.Sprintf("group-%d", g))
+		var group *mobility.Group
+		switch {
+		case size == 1:
+			group, err = mobility.NewGroup(cfg, 0, rng)
+		case g%3 == 1:
+			group, err = mobility.NewManhattanGroup(cfg, 100, 30, rng)
+		default:
+			group, err = mobility.NewGroup(cfg, 40, rng)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < size; i++ {
+			p := &rpgmPeer{id: NodeID(len(peers) + 1), mob: group.NewMember(), connected: true}
+			if err := m.Register(p); err != nil {
+				t.Fatal(err)
+			}
+			peers = append(peers, p)
+		}
+	}
+	return m, peers
+}
+
+// TestRPGMTrafficGridMatchesBrute is the index twin under real mobility:
+// Position calls draw from shared per-group streams, so any slip in which
+// hosts the indexed medium samples, or in what order, shifts every later
+// trajectory. Random connectivity flips, beacons, sends and neighbor
+// queries land on random (often repeated) timestamps; the two mediums must
+// agree on every neighbor set, delivery, drop and per-node energy, and
+// every member must end at the same position.
+func TestRPGMTrafficGridMatchesBrute(t *testing.T) {
+	k := sim.NewKernel()
+	gm, gp := rpgmWorld(t, k, false)
+	bm, bp := rpgmWorld(t, k, true)
+	n := len(gp)
+	rng := sim.NewRNG(43).Stream("rpgm-traffic")
+
+	now := time.Duration(0)
+	for step := 0; step < 4000; step++ {
+		if rng.Bool(0.6) {
+			now += time.Duration(rng.Uniform(0, 2) * float64(time.Second))
+		}
+		a, b := rng.Intn(n), rng.Intn(n)
+		op := rng.Intn(10)
+		k.At(now, func() {
+			switch {
+			case op < 2:
+				gp[a].setConnected(gm, !gp[a].connected)
+				bp[a].setConnected(bm, !bp[a].connected)
+			case op < 5:
+				gm.Broadcast(Message{Kind: KindBeacon, From: gp[a].id, Size: BeaconSize})
+				bm.Broadcast(Message{Kind: KindBeacon, From: bp[a].id, Size: BeaconSize})
+			case op < 8:
+				gm.Send(Message{Kind: KindData, From: gp[a].id, To: gp[b].id, Size: 500})
+				bm.Send(Message{Kind: KindData, From: bp[a].id, To: bp[b].id, Size: 500})
+			default:
+				got, want := gm.Neighbors(gp[a].id), bm.Neighbors(bp[a].id)
+				if !slices.Equal(got, want) {
+					t.Errorf("t=%v Neighbors(%d): grid %v, brute %v", k.Now(), gp[a].id, got, want)
+				}
+			}
+		})
+	}
+	for k.Step() {
+	}
+	if t.Failed() {
+		return
+	}
+
+	gs, gd, gdr, gb := gm.Stats()
+	bs, bd, bdr, bb := bm.Stats()
+	if gs != bs || gd != bd || gdr != bdr || gb != bb {
+		t.Errorf("stats diverged: grid (%d,%d,%d,%d), brute (%d,%d,%d,%d)", gs, gd, gdr, gb, bs, bd, bdr, bb)
+	}
+	if gd == 0 || gm.Drops().Unreachable == 0 {
+		t.Errorf("degenerate run: %d delivered, drops %+v", gd, gm.Drops())
+	}
+	if gm.Drops() != bm.Drops() {
+		t.Errorf("drop breakdown diverged: grid %+v, brute %+v", gm.Drops(), bm.Drops())
+	}
+	if gm.Meter().Total() != bm.Meter().Total() {
+		t.Errorf("total energy diverged: grid %v, brute %v", gm.Meter().Total(), bm.Meter().Total())
+	}
+	end := now + time.Hour
+	for i := range gp {
+		if gv, bv := gm.Meter().Node(gp[i].id), bm.Meter().Node(bp[i].id); gv != bv {
+			t.Errorf("node %d energy diverged: grid %v, brute %v", gp[i].id, gv, bv)
+		}
+		if !slices.Equal(gp[i].inbox, bp[i].inbox) {
+			t.Errorf("node %d inbox diverged: grid %d msgs, brute %d msgs", gp[i].id, len(gp[i].inbox), len(bp[i].inbox))
+		}
+		if g, b := gp[i].Position(end), bp[i].Position(end); g != b {
+			t.Errorf("node %d trajectory diverged: grid %v, brute %v at %v", gp[i].id, g, b, end)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/geo"
@@ -12,13 +13,20 @@ import (
 // sampled at transmission-completion time to decide reachability; Receive is
 // invoked once per delivered message.
 //
+// Horizon has the contract of mobility.Node: after a Position call,
+// Position(t) is a pure function of t for every t up to until, and moves
+// at most speed metres per second (a zero speed means not at all). The
+// spatial index resamples a host only once that horizon, or its drift
+// allowance, runs out.
+//
 // A peer whose Connected() value changes after registration must call
-// Medium.ConnectivityChanged: the spatial index caches per-timestamp
-// positions and reuses reachability sweeps until the clock or the
-// connectivity epoch moves (see DESIGN.md "Spatial index").
+// Medium.ConnectivityChanged: a host that fell due while disconnected is
+// parked until that notification re-queues it (see DESIGN.md "Spatial
+// index").
 type Peer interface {
 	ID() NodeID
 	Position(t time.Duration) geo.Point
+	Horizon() (until time.Duration, speed float64)
 	Connected() bool
 	Receive(msg Message)
 }
@@ -31,9 +39,9 @@ type Peer interface {
 //
 // Reachability is resolved through a uniform-grid spatial index (cell size
 // = TranRange) instead of a pairwise scan over every registered peer, so a
-// completion costs O(k) for k hosts near the sender rather than O(N). The
-// brute-force scan survives behind MediumConfig.BruteForce and is proven
-// byte-identical by the index-equivalence tests.
+// completion costs O(k + hosts due) for k hosts near the sender rather than
+// O(N). The brute-force scan survives behind MediumConfig.BruteForce and is
+// proven byte-identical by the index-equivalence tests.
 type Medium struct {
 	k      *sim.Kernel
 	bwKbps float64
@@ -45,25 +53,28 @@ type Medium struct {
 	nics   map[NodeID]*sim.Resource
 	faults *FaultPlan
 
-	// Spatial index state. The grid is derived, rebuilt lazily from
-	// Position(). regIdx maps a node to
-	// its registration index; pos/syncedAt hold each host's last sampled
-	// position and the timestamp it was sampled at (negative = never).
-	brute    bool
-	grid     *geo.Grid
-	regIdx   map[NodeID]int
-	pos      []geo.Point
-	syncedAt []time.Duration
-	// connEpoch advances on every registration or connectivity change;
-	// a sweep at (sweepNow, sweepEpoch) stays valid for every later
-	// completion at the same timestamp and epoch, because positions are a
-	// pure function of time.
-	connEpoch  uint64
-	sweepNow   time.Duration
-	sweepEpoch uint64
-	sweepValid bool
+	// Spatial index state, all indexed by registration index (regIdx).
+	// The grid holds each host's anchor: its position when the medium
+	// last resampled it, with the speed its Horizon then reported. due
+	// orders hosts by the deadline after which the anchor may be more
+	// than drift metres off or the next Position call may draw; a host
+	// that falls due while disconnected leaves the heap (parked) until
+	// ConnectivityChanged re-queues it. conn mirrors Connected() as of
+	// the last notification, and nConn counts the connected hosts.
+	brute  bool
+	grid   *geo.Grid
+	regIdx map[NodeID]int
+	byIdx  []Peer
+	anchor []geo.Point
+	speed  []float64
+	moving int // hosts whose anchor speed is nonzero
+	drift  float64
+	due    deadlineHeap
+	conn   []bool
+	nConn  int
 	// Scratch buffers, reused across completions to keep the hot path
 	// allocation-free.
+	dueBuf    []int
 	candSrc   []geo.GridID
 	candDst   []geo.GridID
 	neighbors []NodeID
@@ -140,6 +151,7 @@ func NewMedium(k *sim.Kernel, cfg MediumConfig, meter *Meter) (*Medium, error) {
 		brute:  cfg.BruteForce,
 		grid:   grid,
 		regIdx: make(map[NodeID]int),
+		drift:  cfg.RangeM / 4,
 	}, nil
 }
 
@@ -149,23 +161,44 @@ func (m *Medium) Register(p Peer) error {
 	if _, ok := m.peers[p.ID()]; ok {
 		return fmt.Errorf("network: duplicate peer %d", p.ID())
 	}
+	i := len(m.order)
 	m.peers[p.ID()] = p
-	m.regIdx[p.ID()] = len(m.order)
+	m.regIdx[p.ID()] = i
 	m.order = append(m.order, p.ID())
-	m.pos = append(m.pos, geo.Point{})
-	m.syncedAt = append(m.syncedAt, -1)
+	m.byIdx = append(m.byIdx, p)
+	m.anchor = append(m.anchor, geo.Point{})
+	m.speed = append(m.speed, 0)
+	m.conn = append(m.conn, p.Connected())
+	if m.conn[i] {
+		m.nConn++
+	}
+	m.due.add(-1) // never sampled: due at the first resync
 	m.nics[p.ID()] = sim.NewResource(m.k, 1)
-	m.connEpoch++ // a new host invalidates any same-timestamp sweep
 	return nil
 }
 
 // ConnectivityChanged tells the medium that a registered peer's
-// Connected() value flipped. Peers must call it on every transition —
-// the reachability sweep cache is keyed on the connectivity epoch, and a
-// missed notification would let a stale candidate set survive within one
-// timestamp. The id parameter documents intent (and anchors future
-// per-cell sharding); the whole epoch advances regardless.
-func (m *Medium) ConnectivityChanged(NodeID) { m.connEpoch++ }
+// Connected() value flipped. Peers must call it on every transition: it
+// keeps the connected-host count current and re-queues a host that fell
+// due while disconnected, which the index otherwise never resamples.
+func (m *Medium) ConnectivityChanged(id NodeID) {
+	i, ok := m.regIdx[id]
+	if !ok {
+		return
+	}
+	c := m.byIdx[i].Connected()
+	if c != m.conn[i] {
+		m.conn[i] = c
+		if c {
+			m.nConn++
+		} else {
+			m.nConn--
+		}
+	}
+	if c && !m.due.queued[i] {
+		m.due.push(i, m.due.key[i])
+	}
+}
 
 // Meter returns the energy meter the medium charges to.
 func (m *Medium) Meter() *Meter { return m.meter }
@@ -178,81 +211,98 @@ func (m *Medium) inRange(a, b Peer, now time.Duration) bool {
 	return geo.WithinRange(a.Position(now), b.Position(now), m.rangeM)
 }
 
-// syncHost samples one host's position at now and re-buckets it in the
-// grid. Each host is sampled at most once per timestamp.
-func (m *Medium) syncHost(i int, now time.Duration) {
-	p := m.peers[m.order[i]].Position(now)
-	if m.syncedAt[i] < 0 || p != m.pos[i] {
+// sample resamples host i at now: it re-anchors i in the grid and queues
+// i again under its next deadline, the earlier of its Horizon and the time
+// it could drift m.drift metres at the reported speed.
+func (m *Medium) sample(i int, now time.Duration) {
+	p := m.byIdx[i].Position(now)
+	if p != m.anchor[i] || !m.grid.Contains(geo.GridID(i)) {
 		m.grid.Upsert(geo.GridID(i), p)
-		m.pos[i] = p
+		m.anchor[i] = p
 	}
-	m.syncedAt[i] = now
+	until, v := m.byIdx[i].Horizon()
+	switch {
+	case m.speed[i] == 0 && v != 0:
+		m.moving++
+	case m.speed[i] != 0 && v == 0:
+		m.moving--
+	}
+	m.speed[i] = v
+	deadline := until
+	if v != 0 {
+		if dt := m.drift / v * float64(time.Second); dt < float64(until-now) {
+			deadline = now + time.Duration(dt)
+		}
+	}
+	m.due.push(i, deadline)
 }
 
-// sweep brings the spatial index up to date for a completion at time now
-// involving srcIdx (and dstIdx ≥ 0 for point-to-point sends).
+// resync resamples every connected host whose deadline has passed, ahead
+// of a completion (or Neighbors query) at now by srcIdx, involving dstIdx
+// too for a point-to-point send (dstIdx < 0 otherwise). The caller
+// guarantees srcIdx is connected and that another connected peer could
+// hear it.
 //
-// Determinism contract: mobility models draw lazily from shared per-group
-// RNG streams inside Position(t), so the *order of first Position calls
-// per timestamp* is part of the replayed randomness. The sweep therefore
-// replays exactly the call order of the brute-force scan it replaces:
-//
-//   - point-to-point with a connected destination samples src then dst
-//     first (the reachability check), then every other connected peer in
-//     registration order;
-//   - broadcast (and a disconnected destination) samples src lazily, at
-//     the first pair with another connected peer — a sender with no
-//     connected peers is never sampled, exactly as the pairwise loops
-//     never touched it;
-//   - disconnected peers are never sampled (brute force short-circuits on
-//     Connected() before Position()).
-//
-// A sweep is skipped entirely when the timestamp and connectivity epoch
-// match the previous one: positions are a pure function of time, so
-// nothing can have moved, and brute force would only repeat idempotent
-// Position calls that consume no randomness.
+// Determinism contract: mobility models draw lazily from per-group RNG
+// streams inside Position(t), so the order of the Position calls that
+// draw is part of the replayed randomness. A host whose deadline has not
+// passed is inside its Horizon, where Position draws nothing, so skipping
+// it is unobservable. The due hosts are sampled in the call order of the
+// brute-force scan: the sender, then a connected destination (the
+// reachability check), then every other connected host in registration
+// order. Disconnected due hosts are parked, never sampled, because brute
+// force short-circuits on Connected() before Position().
 //
 //hot:runs before every transmission completion and neighbor query
-func (m *Medium) sweep(now time.Duration, srcIdx, dstIdx int) {
-	if m.sweepValid && m.sweepNow == now && m.sweepEpoch == m.connEpoch {
+func (m *Medium) resync(now time.Duration, srcIdx, dstIdx int) {
+	m.dueBuf = m.dueBuf[:0]
+	for {
+		i, ok := m.due.popBefore(now)
+		if !ok {
+			break
+		}
+		m.dueBuf = append(m.dueBuf, i)
+	}
+	if !m.due.queued[srcIdx] {
+		m.sample(srcIdx, now)
+	}
+	if dstIdx >= 0 && !m.due.queued[dstIdx] && m.byIdx[dstIdx].Connected() {
+		m.sample(dstIdx, now)
+	}
+	if len(m.dueBuf) == 0 {
 		return
 	}
-	srcSynced := m.syncedAt[srcIdx] == now
-	if dstIdx >= 0 && m.peers[m.order[dstIdx]].Connected() {
-		// The reachability check samples src then dst before bystanders.
-		if !srcSynced {
-			m.syncHost(srcIdx, now)
-			srcSynced = true
-		}
-		if m.syncedAt[dstIdx] != now {
-			m.syncHost(dstIdx, now)
+	slices.Sort(m.dueBuf)
+	for _, i := range m.dueBuf {
+		if i != srcIdx && i != dstIdx && m.byIdx[i].Connected() {
+			m.sample(i, now)
 		}
 	}
-	for i := range m.order {
-		if i == srcIdx || i == dstIdx {
-			continue
-		}
-		if !m.peers[m.order[i]].Connected() {
-			continue
-		}
-		if !srcSynced {
-			m.syncHost(srcIdx, now)
-			srcSynced = true
-		}
-		if m.syncedAt[i] != now {
-			m.syncHost(i, now)
-		}
-	}
-	m.sweepValid, m.sweepNow, m.sweepEpoch = true, now, m.connEpoch
 }
 
-// candidates appends the registration indices of all indexed hosts within
-// range of center, ascending — which is registration order, since grid IDs
-// are registration indices. Disconnected hosts may appear (their grid
-// position is stale); callers filter on Connected() exactly as the brute
-// loops did.
+// at returns host i's exact position at now. A stationary host stands at
+// its anchor; a moving one is asked, which draws nothing because resync
+// left no connected host past its deadline.
+func (m *Medium) at(i int, now time.Duration) geo.Point {
+	if m.speed[i] == 0 {
+		return m.anchor[i]
+	}
+	return m.byIdx[i].Position(now)
+}
+
+// candidates appends the registration indices of every host whose anchor
+// lies within range of center, in ascending (registration) order. While
+// any host moves, anchors may be up to m.drift off, so the radius widens
+// by twice that: one allowance for the drift, one as margin for rounding.
+// The result is a superset of the hosts in range: callers filter on
+// Connected() and then on geo.WithinRange at the exact position, exactly
+// as the brute loops did.
 func (m *Medium) candidates(dst []geo.GridID, center geo.Point) []geo.GridID {
-	return m.grid.AppendRange(dst[:0], center, m.rangeM)
+	r := m.rangeM
+	if m.moving > 0 {
+		r += 2 * m.drift
+	}
+	return m.grid.AppendRange(dst[:0], center, r)
 }
 
 // Neighbors returns the IDs of connected peers currently within range of
@@ -279,21 +329,20 @@ func (m *Medium) Neighbors(id NodeID) []NodeID {
 			}
 		}
 	} else {
-		selfIdx := m.regIdx[id]
-		m.sweep(now, selfIdx, -1)
-		if m.syncedAt[selfIdx] != now {
-			// No other connected peer exists, so the sweep never sampled
-			// this host; brute force would have found nothing either.
+		if m.nConn < 2 {
+			// No other connected peer exists; brute force would not
+			// even sample this host.
 			return nil
 		}
-		m.candSrc = m.candidates(m.candSrc, m.pos[selfIdx])
+		selfIdx := m.regIdx[id]
+		m.resync(now, selfIdx, -1)
+		center := m.at(selfIdx, now)
+		m.candSrc = m.candidates(m.candSrc, center)
 		for _, ci := range m.candSrc {
-			if int(ci) == selfIdx {
-				continue
-			}
-			oid := m.order[ci]
-			if m.peers[oid].Connected() {
-				m.neighbors = append(m.neighbors, oid)
+			i := int(ci)
+			if i != selfIdx && m.byIdx[i].Connected() &&
+				geo.WithinRange(center, m.at(i, now), m.rangeM) {
+				m.neighbors = append(m.neighbors, m.order[i])
 			}
 		}
 	}
@@ -327,21 +376,19 @@ func (m *Medium) Broadcast(msg Message) {
 			m.broadcastBrute(src, msg, now)
 			return
 		}
-		srcIdx := m.regIdx[msg.From]
-		m.sweep(now, srcIdx, -1)
-		if m.syncedAt[srcIdx] != now {
+		if m.nConn < 2 {
 			return // no other connected peer exists; nobody hears the frame
 		}
-		m.candSrc = m.candidates(m.candSrc, m.pos[srcIdx])
+		srcIdx := m.regIdx[msg.From]
+		m.resync(now, srcIdx, -1)
+		center := m.at(srcIdx, now)
+		m.candSrc = m.candidates(m.candSrc, center)
 		for _, ci := range m.candSrc {
-			if int(ci) == srcIdx {
-				continue
+			i := int(ci)
+			if i != srcIdx && m.byIdx[i].Connected() &&
+				geo.WithinRange(center, m.at(i, now), m.rangeM) {
+				m.deliverBroadcast(m.order[i], msg, now)
 			}
-			oid := m.order[ci]
-			if !m.peers[oid].Connected() {
-				continue
-			}
-			m.deliverBroadcast(oid, msg, now)
 		}
 	})
 }
@@ -402,10 +449,21 @@ func (m *Medium) Send(msg Message) {
 			m.sendBrute(src, dst, msg, now)
 			return
 		}
+		dstConnected := dst.Connected()
+		if !dstConnected && m.nConn < 2 {
+			// Nobody else is connected: no receiver, no bystanders, and
+			// brute force would not even sample the sender.
+			m.drops.Unreachable++
+			return
+		}
 		srcIdx, dstIdx := m.regIdx[msg.From], m.regIdx[msg.To]
-		m.sweep(now, srcIdx, dstIdx)
-		reachable := dst.Connected() &&
-			geo.WithinRange(m.pos[srcIdx], m.pos[dstIdx], m.rangeM)
+		m.resync(now, srcIdx, dstIdx)
+		srcPos := m.at(srcIdx, now)
+		var dstPos geo.Point
+		if dstConnected {
+			dstPos = m.at(dstIdx, now)
+		}
+		reachable := dstConnected && geo.WithinRange(srcPos, dstPos, m.rangeM)
 		faulted := false
 		if reachable {
 			// The destination receives (and pays for) the frame even
@@ -418,41 +476,39 @@ func (m *Medium) Send(msg Message) {
 		} else {
 			m.drops.Unreachable++
 		}
-		// Bystander discard accounting: merge the sorted candidate sets
-		// around the source and (when reached) the destination, walking
-		// both in registration order.
-		var nearSrc, nearDst []geo.GridID
-		if m.syncedAt[srcIdx] == now {
-			m.candSrc = m.candidates(m.candSrc, m.pos[srcIdx])
-			nearSrc = m.candSrc
-		}
+		// Bystander discard accounting: walk the union of the sorted
+		// candidate sets around the source and (when reached) the
+		// destination in registration order, and test each connected
+		// bystander's exact position against both ends.
+		nearSrc := m.candidates(m.candSrc, srcPos)
+		m.candSrc = nearSrc
+		var nearDst []geo.GridID
 		if reachable {
-			m.candDst = m.candidates(m.candDst, m.pos[dstIdx])
-			nearDst = m.candDst
+			nearDst = m.candidates(m.candDst, dstPos)
+			m.candDst = nearDst
 		}
 		i, j := 0, 0
 		for i < len(nearSrc) || j < len(nearDst) {
 			var ci int
-			var ns, nd bool
 			switch {
 			case j >= len(nearDst) || (i < len(nearSrc) && nearSrc[i] < nearDst[j]):
-				ci, ns = int(nearSrc[i]), true
+				ci = int(nearSrc[i])
 				i++
 			case i >= len(nearSrc) || nearDst[j] < nearSrc[i]:
-				ci, nd = int(nearDst[j]), true
+				ci = int(nearDst[j])
 				j++
-			default: // equal: in range of both
-				ci, ns, nd = int(nearSrc[i]), true, true
+			default: // in both sets
+				ci = int(nearSrc[i])
 				i++
 				j++
 			}
-			if ci == srcIdx || ci == dstIdx {
+			if ci == srcIdx || ci == dstIdx || !m.byIdx[ci].Connected() {
 				continue
 			}
+			p := m.at(ci, now)
+			ns := geo.WithinRange(srcPos, p, m.rangeM)
+			nd := reachable && geo.WithinRange(dstPos, p, m.rangeM)
 			oid := m.order[ci]
-			if !m.peers[oid].Connected() {
-				continue
-			}
 			switch {
 			case ns && nd:
 				m.meter.Charge(oid, EnergyP2PDiscard, m.power.DiscardBoth.Energy(msg.Size))
